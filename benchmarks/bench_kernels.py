@@ -46,7 +46,15 @@ oracles on the two compute-dominant paths of the reproduction:
   a 1-CPU container can report > 1x here — each worker owns its shard
   outright, so the per-page lock acquisitions the in-process pool pays
   disappear — but the ratio only becomes a scaling claim on multi-core
-  hosts, where the history ledger records it per host.
+  hosts, where the history ledger records it per host;
+* ``tat_build`` — a tuple-at-a-time build of tiger-like data at node
+  capacity 100 (the Fig. 6 experiment's loader) with the NumPy
+  quadratic split, vs the same build with the scalar split oracle of
+  ``tests/rtree/split_oracle.py``, asserted to produce identical
+  tree descriptions.  ``seconds`` is the absolute build time the
+  ledger tracks.  A TAT build has no query points, so ``n_points`` is
+  0; the record carries the node ``capacity`` and the host's
+  ``cpu_count`` as extra fields.  No ratio floor is asserted.
 
 The report is a machine-readable JSON file (schema ``repro-bench/1``,
 see :data:`RECORD_FIELDS` and ``docs/PERFORMANCE.md``) written to the
@@ -64,7 +72,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 import tempfile
 import time
@@ -79,6 +89,7 @@ try:  # installed package (CI) or PYTHONPATH=src
 except ImportError:  # plain checkout: python benchmarks/bench_kernels.py
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import datasets
 from repro.accel import DenseStabber, GridStabbingIndex, SortedRangeCounter
 from repro.buffer import LRUBuffer
 from repro.geometry import RectArray
@@ -89,7 +100,7 @@ from repro.obs.history import (
     RECORD_FIELDS,
     validate_bench_report,
 )
-from repro.packing import pack_description
+from repro.packing import pack_description, tat_description
 from repro.queries import UniformPointWorkload
 from repro.serving import QueryService
 from repro.simulation import simulate, simulate_sweep
@@ -611,6 +622,48 @@ def _bench_serving_multicore(
     )
 
 
+def _scalar_split_oracle():
+    """The scalar quadratic split kept as a test oracle under ``tests/``."""
+    path = REPO_ROOT / "tests" / "rtree" / "split_oracle.py"
+    spec = importlib.util.spec_from_file_location("split_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.quadratic_split
+
+
+def _bench_tat_build(
+    rng: np.random.Generator, n_rects: int, capacity: int
+) -> dict:
+    """TAT build with the NumPy quadratic split vs the scalar oracle."""
+    data = datasets.tiger_like(n_rects, rng=int(rng.integers(1 << 31)))
+
+    started = time.perf_counter()
+    fast = tat_description(data, capacity)
+    seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    scalar = tat_description(data, capacity, split=_scalar_split_oracle())
+    dense_seconds = time.perf_counter() - started
+
+    if fast != scalar:
+        raise AssertionError(
+            "TAT build with the NumPy quadratic split diverged from the "
+            "scalar split oracle"
+        )
+    record = _record(
+        "tat_build",
+        n_rects,
+        0,
+        seconds,
+        dense_seconds,
+        ops=n_rects,
+        unit="inserts/s",
+    )
+    record["capacity"] = capacity
+    record["cpu_count"] = os.cpu_count()
+    return record
+
+
 def _record(
     kernel: str,
     n_rects: int,
@@ -646,6 +699,7 @@ _FULL_SIZES = {
     "serving_latency": (50_000, 20_000),
     "telemetry_overhead": (50_000, 100_000),
     "serving_multicore": (50_000, 100_000),
+    "tat_build": (20_000, 100),
 }
 
 _SMOKE_SIZES = {
@@ -659,6 +713,7 @@ _SMOKE_SIZES = {
     "serving_latency": (4_000, 2_000),
     "telemetry_overhead": (4_000, 5_000),
     "serving_multicore": (4_000, 5_000),
+    "tat_build": (2_000, 100),
 }
 
 
@@ -677,6 +732,7 @@ def build_report(seed: int = 0, smoke: bool = False) -> dict:
         _bench_serving_latency(rng, *sizes["serving_latency"]),
         _bench_telemetry_overhead(rng, *sizes["telemetry_overhead"]),
         _bench_serving_multicore(rng, *sizes["serving_multicore"]),
+        _bench_tat_build(rng, *sizes["tat_build"]),
     ]
     return {
         "schema": SCHEMA,

@@ -13,8 +13,9 @@ This module supplies both halves:
 * **Gate** — `compare_reports` checks the latest run against a chosen
   baseline per (kernel, sizes) pair, with per-metric noise tolerances:
   timing metrics are allowed a bounded *worsening factor* before the
-  comparison counts as a regression.  `find_baseline` picks the most
-  recent comparable entry (same smoke flag, overlapping kernels).
+  comparison counts as a regression.  `find_baseline` assembles the
+  baseline per (kernel, sizes) key: the most recent record of each key
+  among entries with the same smoke flag.
 
 The bench *report* schema (``repro-bench/1``) is canonically validated
 here by :func:`validate_bench_report`; ``benchmarks/bench_kernels.py``
@@ -63,7 +64,11 @@ RECORD_FIELDS = {
     "dense_seconds": float,
     "speedup_vs_dense": float,
 }
-"""Required fields (and types) of every record in a bench report."""
+"""Required fields (and types) of every record in a bench report.
+
+A kernel with no query points records ``n_points`` as 0.  Records may
+carry extra fields (``tat_build`` adds ``capacity`` and ``cpu_count``);
+validation and the gate ignore them."""
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "seconds": 1.35,
@@ -239,14 +244,18 @@ def find_baseline(
     *,
     baseline_run_id: str | None = None,
 ) -> Mapping[str, Any] | None:
-    """The ledger entry to gate ``report`` against.
+    """The baseline to gate ``report`` against.
 
     With ``baseline_run_id``, the entry with that id (raises if
-    absent).  Otherwise the *most recent* entry whose smoke flag
-    matches and which shares at least one (kernel, sizes) key with the
-    report — smoke runs gate against smoke history, full runs against
-    full history.  ``None`` when no comparable entry exists (a first
-    run passes trivially).
+    absent).  Otherwise a baseline assembled key by key: for each
+    (kernel, sizes) key of the report, the most recent record with
+    that key among the entries whose smoke flag matches — smoke runs
+    gate against smoke history, full runs against full history.  An
+    entry that records only some kernels therefore gates those kernels
+    and never hides older records of the others.  The assembled
+    baseline's ``run_id`` (and ``note``) names every entry it drew on,
+    newest first, joined by ``+`` (``"; "``).  ``None`` when no key has
+    a record (a first run passes trivially).
     """
     if baseline_run_id is not None:
         for entry in entries:
@@ -254,13 +263,28 @@ def find_baseline(
                 return entry
         raise ValueError(f"no history entry with run_id {baseline_run_id!r}")
     want_smoke = bool(report["smoke"])
-    keys = {record_key(r) for r in report["records"]}
+    wanted = {record_key(r) for r in report["records"]}
+    chosen: dict[tuple[str, int, int], Mapping[str, Any]] = {}
+    sources: list[Mapping[str, Any]] = []
     for entry in reversed(entries):
         if bool(entry.get("smoke")) != want_smoke:
             continue
-        if keys & {record_key(r) for r in entry["records"]}:
-            return entry
-    return None
+        drawn = False
+        for record in entry["records"]:
+            key = record_key(record)
+            if key in wanted and key not in chosen:
+                chosen[key] = record
+                drawn = True
+        if drawn:
+            sources.append(entry)
+    if not sources:
+        return None
+    return {
+        "run_id": "+".join(str(e["run_id"]) for e in sources),
+        "note": "; ".join(str(e["note"]) for e in sources if e.get("note")),
+        "smoke": want_smoke,
+        "records": [chosen[key] for key in sorted(chosen)],
+    }
 
 
 @dataclass(frozen=True)
@@ -317,9 +341,10 @@ def compare_reports(
 ) -> Comparison:
     """Gate ``latest`` against ``baseline``, metric by metric.
 
-    ``baseline`` is a ledger entry or a bench report (both carry
-    ``records``); ``latest`` likewise.  Only (kernel, sizes) pairs
-    present in both are compared; the rest land in ``skipped``.
+    ``baseline`` is a ledger entry, a bench report or the output of
+    :func:`find_baseline` (all carry ``records``); ``latest`` likewise.
+    Only (kernel, sizes) pairs present in both are compared; the rest
+    land in ``skipped``.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:

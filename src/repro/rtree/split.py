@@ -14,9 +14,10 @@ groups, each of size at least ``m``, covering all entries.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-# split functions operate on raw corner tuples; no Rect needed here
+import numpy as np
+
 from .node import Entry
 
 __all__ = [
@@ -53,80 +54,123 @@ def quadratic_split(
     entries — Guttman's tie-break chain.  Whenever one group must absorb
     all remaining entries to reach ``min_fill``, they are assigned
     wholesale.
+
+    Both steps run over ``(d, n)`` corner arrays but keep the scalar
+    algorithm's float operations and first-maximum tie-breaks, so the
+    groups are exactly those of the textbook double loop: every area
+    is a left-to-right product of per-axis extents, waste is
+    ``union - area_i - area_j``, and ``np.argmax`` returns the first
+    maximum in row-major (PickSeeds) and index (PickNext) order, as a
+    strict ``>`` scan does.
     """
     _validate_split_input(entries, min_fill)
-    # Work on raw corner tuples: splits are O(n²) in the node capacity
-    # and allocating Rect objects in these loops dominates TAT loading.
+    n = len(entries)
     los = [e.rect.lo for e in entries]
     his = [e.rect.hi for e in entries]
-    n = len(entries)
-    areas = [_area(lo, hi) for lo, hi in zip(los, his)]
+    lo = np.array(los).T
+    hi = np.array(his).T
+    areas = _product(hi - lo)
 
-    # PickSeeds: maximise d = area(J) - area(E1) - area(E2).
-    best_waste = -float("inf")
-    seed_a, seed_b = 0, 1
-    for i in range(n - 1):
-        lo_i, hi_i, area_i = los[i], his[i], areas[i]
-        for j in range(i + 1, n):
-            waste = _union_area(lo_i, hi_i, los[j], his[j]) - area_i - areas[j]
-            if waste > best_waste:
-                best_waste = waste
-                seed_a, seed_b = i, j
+    # PickSeeds: maximise d = area(J) - area(E1) - area(E2) over i < j,
+    # one (n, n) matrix built axis by axis.
+    waste = _product(
+        np.maximum.outer(hi_k, hi_k) - np.minimum.outer(lo_k, lo_k)
+        for lo_k, hi_k in zip(lo, hi)
+    )
+    waste -= areas[:, None]
+    waste -= areas[None, :]
+    waste[np.tri(n, dtype=bool)] = -np.inf
+    seed_a, seed_b = divmod(int(np.argmax(waste)), n)
 
     group_a = [seed_a]
     group_b = [seed_b]
     cover_a_lo, cover_a_hi = los[seed_a], his[seed_a]
     cover_b_lo, cover_b_hi = los[seed_b], his[seed_b]
-    area_a = areas[seed_a]
-    area_b = areas[seed_b]
-    remaining = [k for k in range(n) if k != seed_a and k != seed_b]
+    area_a = float(areas[seed_a])
+    area_b = float(areas[seed_b])
+    # Enlargement of each group's cover by every entry; only the group
+    # that grows is recomputed.  Assigned entries are masked out of the
+    # PickNext scan, which sees the rest in index order, as the scalar
+    # loop over its ascending ``remaining`` list does.
+    d1 = _enlargement(lo, hi, cover_a_lo, cover_a_hi, area_a)
+    d2 = _enlargement(lo, hi, cover_b_lo, cover_b_hi, area_b)
+    assigned = np.zeros(n, dtype=bool)
+    assigned[[seed_a, seed_b]] = True
+    remaining = n - 2
 
     while remaining:
         # If one group needs every remaining entry to reach min_fill,
         # assign them all to it.
-        if len(group_a) + len(remaining) == min_fill:
-            group_a.extend(remaining)
+        if len(group_a) + remaining == min_fill:
+            group_a.extend(np.flatnonzero(~assigned).tolist())
             break
-        if len(group_b) + len(remaining) == min_fill:
-            group_b.extend(remaining)
+        if len(group_b) + remaining == min_fill:
+            group_b.extend(np.flatnonzero(~assigned).tolist())
             break
 
-        # PickNext: entry with maximal |d1 - d2|.
-        best_k = -1
-        best_pos = -1
-        best_diff = -1.0
-        best_d = (0.0, 0.0)
-        for pos, k in enumerate(remaining):
-            d1 = _union_area(cover_a_lo, cover_a_hi, los[k], his[k]) - area_a
-            d2 = _union_area(cover_b_lo, cover_b_hi, los[k], his[k]) - area_b
-            diff = abs(d1 - d2)
-            if diff > best_diff:
-                best_diff = diff
-                best_k = k
-                best_pos = pos
-                best_d = (d1, d2)
-        remaining.pop(best_pos)
+        # PickNext: entry with maximal |d1 - d2| (differences are >= 0,
+        # so -1 keeps assigned entries from ever winning).
+        diff = np.abs(d1 - d2)
+        diff[assigned] = -1.0
+        best_k = int(np.argmax(diff))
+        assigned[best_k] = True
+        remaining -= 1
 
-        d1, d2 = best_d
-        if d1 < d2:
+        e1 = float(d1[best_k])
+        e2 = float(d2[best_k])
+        if e1 < e2:
             choose_a = True
-        elif d2 < d1:
+        elif e2 < e1:
             choose_a = False
         elif area_a != area_b:
             choose_a = area_a < area_b
         else:
             choose_a = len(group_a) <= len(group_b)
 
+        lo_k, hi_k = los[best_k], his[best_k]
         if choose_a:
             group_a.append(best_k)
-            cover_a_lo, cover_a_hi = _union(cover_a_lo, cover_a_hi, los[best_k], his[best_k])
+            cover_a_lo = tuple(map(min, cover_a_lo, lo_k))
+            cover_a_hi = tuple(map(max, cover_a_hi, hi_k))
             area_a = _area(cover_a_lo, cover_a_hi)
+            d1 = _enlargement(lo, hi, cover_a_lo, cover_a_hi, area_a)
         else:
             group_b.append(best_k)
-            cover_b_lo, cover_b_hi = _union(cover_b_lo, cover_b_hi, los[best_k], his[best_k])
+            cover_b_lo = tuple(map(min, cover_b_lo, lo_k))
+            cover_b_hi = tuple(map(max, cover_b_hi, hi_k))
             area_b = _area(cover_b_lo, cover_b_hi)
+            d2 = _enlargement(lo, hi, cover_b_lo, cover_b_hi, area_b)
 
     return group_a, group_b
+
+
+def _product(factors: Iterable[np.ndarray]) -> np.ndarray:
+    """Left-to-right elementwise product: the scalar ``1.0 * x0 * x1 ...``.
+
+    Starting from the first factor rather than ``1.0`` changes nothing,
+    since ``1.0 * x == x`` exactly.
+    """
+    factors = iter(factors)
+    result = np.array(next(factors))
+    for factor in factors:
+        result *= factor
+    return result
+
+
+def _enlargement(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cover_lo: tuple[float, ...],
+    cover_hi: tuple[float, ...],
+    cover_area: float,
+) -> np.ndarray:
+    """``area(cover ∪ entry) - area(cover)`` for every entry column."""
+    grown = _product(
+        np.maximum(hi_k, c_hi) - np.minimum(lo_k, c_lo)
+        for lo_k, hi_k, c_lo, c_hi in zip(lo, hi, cover_lo, cover_hi)
+    )
+    grown -= cover_area
+    return grown
 
 
 def _area(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
@@ -134,29 +178,6 @@ def _area(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
     for a, b in zip(lo, hi):
         result *= b - a
     return result
-
-
-def _union_area(
-    lo1: tuple[float, ...],
-    hi1: tuple[float, ...],
-    lo2: tuple[float, ...],
-    hi2: tuple[float, ...],
-) -> float:
-    result = 1.0
-    for a, b, c, d in zip(lo1, hi1, lo2, hi2):
-        result *= max(b, d) - min(a, c)
-    return result
-
-
-def _union(
-    lo1: tuple[float, ...],
-    hi1: tuple[float, ...],
-    lo2: tuple[float, ...],
-    hi2: tuple[float, ...],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    lo = tuple(min(a, c) for a, c in zip(lo1, lo2))
-    hi = tuple(max(b, d) for b, d in zip(hi1, hi2))
-    return lo, hi
 
 
 def linear_split(

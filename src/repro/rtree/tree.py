@@ -48,8 +48,10 @@ class RTree:
         Minimum fill ``m <= n/2`` for non-root nodes; defaults to
         ``max(1, round(0.4 * max_entries))``, the conventional 40%.
     split:
-        Split heuristic name (``"quadratic"`` or ``"linear"``) or a
-        custom split function.
+        Split heuristic name — ``"quadratic"``, ``"linear"``,
+        ``"greene"`` or ``"rstar"`` (the keys of
+        :data:`~repro.rtree.split.SPLIT_FUNCTIONS`) — or a custom
+        split function.
 
     Examples
     --------
@@ -203,9 +205,8 @@ class RTree:
     def _choose_subtree(self, node: Node, rect: Rect) -> Entry:
         """Guttman's ChooseLeaf step: least enlargement, then least area.
 
-        Works on raw corner tuples — this is the insertion hot path and
-        allocating intermediate :class:`Rect` objects here dominates
-        TAT loading time otherwise.
+        Works on the entries' corner tuples, without building an
+        intermediate :class:`Rect` per candidate.
         """
         r_lo, r_hi = rect.lo, rect.hi
         best: Entry | None = None

@@ -159,6 +159,7 @@ class TestBuildReport:
                 bench._bench_serving_latency(_rng(rng_seed), 200, 300),
                 bench._bench_telemetry_overhead(_rng(rng_seed), 200, 300),
                 bench._bench_serving_multicore(_rng(rng_seed), 200, 300),
+                bench._bench_tat_build(_rng(rng_seed), 300, 8),
             ],
         }
         assert bench.validate_report(report) == []

@@ -116,6 +116,46 @@ class TestFindBaseline:
         )
         assert find_baseline([other], make_report()) is None
 
+    def test_newest_record_per_key(self):
+        old = history_entry(
+            make_report([make_record(), make_record(kernel="sweep")]),
+            run_id="old",
+        )
+        new = history_entry(make_report([make_record(seconds=0.2)]), run_id="new")
+        report = make_report([make_record(), make_record(kernel="sweep")])
+        baseline = find_baseline([old, new], report)
+        assert baseline["run_id"] == "new+old"
+        by_kernel = {r["kernel"]: r["seconds"] for r in baseline["records"]}
+        assert by_kernel == {"point_stab": 0.2, "sweep": 0.1}
+
+    def test_partial_entry_does_not_shadow_older_records(self):
+        # A newer entry holding one other kernel must not take over as
+        # the baseline of the kernels it lacks.
+        full = history_entry(
+            make_report([make_record(), make_record(kernel="sweep")]),
+            run_id="full",
+        )
+        partial = history_entry(
+            make_report([make_record(kernel="tat_build", n_points=0)]),
+            run_id="partial",
+        )
+        latest = make_report(
+            [
+                make_record(seconds=0.1 * 2.0),
+                make_record(kernel="sweep"),
+                make_record(kernel="tat_build", n_points=0),
+            ]
+        )
+        baseline = find_baseline([full, partial], latest)
+        comparison = compare_reports(baseline, latest)
+        assert comparison.skipped == ()
+        assert {d.kernel for d in comparison.deltas} == {
+            "point_stab", "sweep", "tat_build"
+        }
+        assert [(d.kernel, d.metric) for d in comparison.regressions] == [
+            ("point_stab", "seconds")
+        ]
+
     def test_explicit_run_id(self):
         entry = history_entry(make_report(), run_id="wanted")
         assert find_baseline([entry], make_report(), baseline_run_id="wanted") is entry

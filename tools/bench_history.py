@@ -14,10 +14,11 @@ Usage::
     python tools/bench_history.py append --note "PR 5"  # record a run
     python tools/bench_history.py list                  # show the ledger
 
-``check`` compares ``--report`` (default ``BENCH_repro.json``) against
-the most recent *comparable* ledger entry — same smoke flag, at least
-one matching (kernel, sizes) record — or the one named by
-``--baseline RUN_ID``.  A first run with no comparable baseline passes.
+``check`` compares ``--report`` (default ``BENCH_repro.json``) record
+by record against, for each (kernel, sizes) key, the most recent
+ledger record with that key and the same smoke flag — or against the
+entry named by ``--baseline RUN_ID``.  A first run with no comparable
+baseline passes.
 Tolerances can be loosened per metric with ``--tolerance seconds=2.0``
 (repeatable); CI uses wider factors than local runs to absorb shared-
 runner variance.
@@ -215,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline",
         metavar="RUN_ID",
         default=None,
-        help="compare against this ledger entry (default: newest comparable)",
+        help="compare against this ledger entry (default: the newest "
+        "record of each key)",
     )
     check.add_argument(
         "--tolerance",
