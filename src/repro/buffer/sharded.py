@@ -28,6 +28,16 @@ Semantics, stated honestly:
   ``tests/buffer/test_sharded.py`` and by the metrics-export
   validator's sum-reconciliation invariants.
 
+The partition rule: page ``p`` lives in shard ``hash(p) % K``
+(:meth:`ShardedBufferPool.shard_of`).  :meth:`~ShardedBufferPool.
+request_batch` evaluates the same rule for a whole batch at once as
+``pages % K``, which equals ``hash(p) % K`` for every integer id in
+``[0, sys.hash_info.modulus)`` — Python hashes such an int to itself.
+The stabbers' page ids are level-major node numbers, non-negative and
+far below that bound; with K > 1 a batch holding any other id is
+refused rather than routed to a different shard than ``request()``
+would pick.
+
 Pinned pages (§3.3) are partitioned like any other id and occupy
 capacity in their home shard; a pin distribution that overflows some
 shard raises :class:`~repro.buffer.base.PinningError` — the sharded
@@ -40,6 +50,7 @@ lock raises at the exact write (see ``repro.analysis.sanitize``).
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections.abc import Iterable
 
@@ -48,81 +59,11 @@ import numpy as np
 from .base import BufferPool, BufferStats, PageId, PinningError
 from .policies import POLICIES
 
-__all__ = ["ShardedBufferPool", "build_shard_pool", "plan_shard_split"]
+__all__ = ["ShardedBufferPool"]
 
-
-def plan_shard_split(
-    capacity: int,
-    shards: int,
-    policy: str,
-    pinned: Iterable[PageId],
-) -> tuple[frozenset[PageId], list[int], list[list[PageId]]]:
-    """Validate and split a pool configuration across ``K`` shards.
-
-    Returns ``(pinned_set, shard_capacities, per_shard_pins)`` where
-    shard ``s`` gets ``capacity // K`` pages plus one of the
-    ``capacity % K`` remainder pages (lowest shards first) and the
-    pins hashed to it.  This is the *single* source of the split: the
-    in-process :class:`ShardedBufferPool` and the process-per-shard
-    topology (``repro.serving.workers``) both build from it, so their
-    per-shard pools are structurally identical by construction.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    if capacity < shards:
-        raise ValueError(
-            f"cannot split {capacity} pages across {shards} shards "
-            "(each shard needs at least one page)"
-        )
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown policy {policy!r}; choices: {sorted(POLICIES)}"
-        )
-    pinned_set = frozenset(pinned)
-    if len(pinned_set) > capacity:
-        raise PinningError(
-            f"cannot pin {len(pinned_set)} pages in a "
-            f"{capacity}-page buffer"
-        )
-    per_shard_pins: list[list[PageId]] = [[] for _ in range(shards)]
-    for page in pinned_set:
-        per_shard_pins[hash(page) % shards].append(page)
-    base, extra = divmod(capacity, shards)
-    shard_capacities = [base + (1 if s < extra else 0) for s in range(shards)]
-    for s, (shard_capacity, pins) in enumerate(
-        zip(shard_capacities, per_shard_pins)
-    ):
-        if len(pins) > shard_capacity:
-            raise PinningError(
-                f"shard {s} holds {len(pins)} pinned pages but only "
-                f"{shard_capacity} slots; repartition or grow the "
-                "buffer"
-            )
-    return pinned_set, shard_capacities, per_shard_pins
-
-
-def build_shard_pool(
-    shard_capacity: int,
-    pins: Iterable[PageId],
-    policy: str,
-    *,
-    shard: int,
-    rng: int = 0,
-) -> BufferPool:
-    """One shard's policy pool, seeded per shard for ``random``.
-
-    Shard ``s`` of a ``random`` pool draws from an independent
-    generator seeded ``rng + s`` — the same recipe whether the pool
-    lives in this process or in a fork worker, which is what keeps the
-    process topology bit-exact against :class:`ShardedBufferPool`.
-    """
-    if policy == "random":
-        return POLICIES["random"](
-            shard_capacity,
-            pins,
-            rng=np.random.default_rng(int(rng) + shard),
-        )
-    return POLICIES[policy](shard_capacity, pins)
+_HASH_IDENTITY_BOUND = sys.hash_info.modulus
+"""Integer ids in ``[0, bound)`` hash to themselves, so for them
+``page % K == hash(page) % K`` — the batch partition's precondition."""
 
 
 class ShardedBufferPool:
@@ -157,21 +98,46 @@ class ShardedBufferPool:
         pinned: Iterable[PageId] = (),
         rng: int = 0,
     ) -> None:
-        pinned_set, shard_capacities, per_shard_pinned = plan_shard_split(
-            capacity, shards, policy, pinned
-        )
+        if shards < 1:
+            raise ValueError("need at least one shard")
+        if capacity < shards:
+            raise ValueError(
+                f"cannot split {capacity} pages across {shards} shards "
+                "(each shard needs at least one page)"
+            )
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r}; choices: {sorted(POLICIES)}"
+            )
+        pinned_set = frozenset(pinned)
+        if len(pinned_set) > capacity:
+            raise PinningError(
+                f"cannot pin {len(pinned_set)} pages in a "
+                f"{capacity}-page buffer"
+            )
+        per_shard_pins: list[list[PageId]] = [[] for _ in range(shards)]
+        for page in pinned_set:
+            per_shard_pins[hash(page) % shards].append(page)
+        base, extra = divmod(capacity, shards)
+        pools = []
+        for s, pins in enumerate(per_shard_pins):
+            shard_capacity = base + (1 if s < extra else 0)
+            if len(pins) > shard_capacity:
+                raise PinningError(
+                    f"shard {s} holds {len(pins)} pinned pages but only "
+                    f"{shard_capacity} slots; repartition or grow the "
+                    "buffer"
+                )
+            if policy == "random":
+                rng_s = np.random.default_rng(int(rng) + s)
+                pools.append(POLICIES[policy](shard_capacity, pins, rng=rng_s))
+            else:
+                pools.append(POLICIES[policy](shard_capacity, pins))
         self.capacity = int(capacity)
         self.n_shards = int(shards)
         self.policy = policy
         self.pinned = pinned_set
-        self._pools: tuple[BufferPool, ...] = tuple(
-            build_shard_pool(
-                shard_capacity, pins, policy, shard=s, rng=rng
-            )
-            for s, (shard_capacity, pins) in enumerate(
-                zip(shard_capacities, per_shard_pinned)
-            )
-        )
+        self._pools: tuple[BufferPool, ...] = tuple(pools)
         self._locks: tuple[threading.Lock, ...] = tuple(
             threading.Lock() for _ in range(shards)
         )
@@ -198,20 +164,35 @@ class ShardedBufferPool:
             return self._pools[shard].request(page)
 
     def request_batch(self, pages) -> int:
-        """Access every page in ``pages`` in order; returns the hit count.
+        """Access every page id in ``pages`` in order; returns the hit count.
 
-        Equivalent to ``sum(self.request(int(p)) for p in pages)`` —
-        the serving engine's one-call-per-micro-batch entry point, and
-        the exact stream the process-per-shard topology reproduces:
-        within a batch, each shard sees the subsequence of ``pages``
-        hashed to it, in stream order, which is all any per-shard
-        policy pool's state depends on.
+        Same counters and final state as ``sum(self.request(int(p))
+        for p in pages)``: the batch is partitioned once as
+        ``pages % K`` (the module's partition rule), and each shard
+        replays its subsequence in stream order under one acquisition
+        of its lock — all any per-shard policy pool's state depends
+        on.  K=1 skips the partition.  With K > 1 the ids must be
+        integers in ``[0, sys.hash_info.modulus)``; raises
+        :class:`ValueError` otherwise.
         """
+        pages = np.asarray(pages, dtype=np.int64)
+        if self.n_shards == 1:
+            parts = [pages]
+        else:
+            if pages.size and (
+                pages.min() < 0 or pages.max() >= _HASH_IDENTITY_BOUND
+            ):
+                raise ValueError(
+                    "request_batch partitions non-negative page ids below "
+                    f"{_HASH_IDENTITY_BOUND}; use request() for other ids"
+                )
+            homes = pages % self.n_shards
+            parts = [pages[homes == s] for s in range(self.n_shards)]
         hits = 0
-        request = self.request
-        for page in pages:
-            if request(int(page)):
-                hits += 1
+        for lock, pool, part in zip(self._locks, self._pools, parts):
+            if part.size:
+                with lock:
+                    hits += sum(map(pool.request, part.tolist()))
         return hits
 
     # ------------------------------------------------------------------

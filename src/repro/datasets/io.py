@@ -8,10 +8,10 @@ Three formats:
 * numpy ``.npz`` for fast exact round-trips, and
 * a single uncompressed ``.npy`` of shape ``(2, n, d)`` for
   **zero-copy memory-mapped** access (:func:`save_mmap` /
-  :func:`open_mmap`): the sharded sweep's worker processes all map
-  the same file, so a data set is materialised in RAM once — in the
-  OS page cache — no matter how many processes read it (see
-  ``docs/PARALLELISM.md``).
+  :func:`open_mmap`): every process that maps the same file shares
+  one copy in the OS page cache, so a cached data set is materialised
+  in RAM once however many runs read it (the experiments'
+  ``REPRO_DATASET_MMAP`` cache, see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -114,9 +114,8 @@ def open_mmap(path: str | Path) -> RectArray:
     The returned array's ``lo``/``hi`` are *read-only views of the
     file* (``np.load(..., mmap_mode="r")``): nothing is copied, pages
     fault in on first touch and are shared through the OS page cache
-    across every process that opens the same path — which is what
-    lets sharded-sweep workers attach to a data set without pickling
-    a single rectangle.  Validation (shape, NaN, ``lo <= hi``) runs
+    across every process that opens the same path, so concurrent runs
+    attach to a data set without copying a single rectangle.  Validation (shape, NaN, ``lo <= hi``) runs
     on open via :meth:`RectArray.from_readonly`; the mapping lives
     exactly as long as the returned object (the views keep it alive —
     no explicit close, ownership transfers to the caller).

@@ -12,7 +12,7 @@ catch it here, not in a figure that quietly stops reproducing.
 
 from __future__ import annotations
 
-from pathlib import Path
+import pytest
 
 from .conftest import REPO_ROOT, fixture_config
 
@@ -27,9 +27,14 @@ AUDITED = [
 ]
 
 
-def _audit(rule_id: str):
+@pytest.fixture(scope="module")
+def project():
+    """The whole-``src`` project graph, built once for every case."""
     files = sorted((SRC / "repro").rglob("*.py"))
-    project = build_project(files, root=REPO_ROOT)
+    return build_project(files, root=REPO_ROOT)
+
+
+def _audit(project, rule_id: str):
     config = fixture_config(kernel_paths=()).override(select=(rule_id,))
     violations = []
     for path in AUDITED:
@@ -44,27 +49,25 @@ class TestAuditedModulesStayClean:
         for path in AUDITED:
             assert path.is_file(), path
 
-    def test_no_unsynchronized_shared_writes(self):
-        violations = _audit("RL009")
+    def test_no_unsynchronized_shared_writes(self, project):
+        violations = _audit(project, "RL009")
         assert violations == [
             # Any entry here means a worker-reachable function started
             # writing shared state without a lock. Fix the code, do
             # not baseline it.
         ]
 
-    def test_no_leaked_resources(self):
+    def test_no_leaked_resources(self, project):
         # The sweep builds its executor conditionally
         # (``ThreadPoolExecutor(...) if workers > 1 else None``) and
         # releases it in a ``finally`` -- a shape RL012 must keep
         # accepting.
-        violations = _audit("RL012")
+        violations = _audit(project, "RL012")
         assert violations == []
 
-    def test_stackdist_workers_are_visible_to_the_callgraph(self):
+    def test_stackdist_workers_are_visible_to_the_callgraph(self, project):
         # The audit is only meaningful if the analyzer actually sees
         # the submit sites; guard against a refactor hiding them.
-        files = sorted((SRC / "repro").rglob("*.py"))
-        project = build_project(files, root=REPO_ROOT)
         stackdist = [
             site
             for site in project.callgraph.submit_sites

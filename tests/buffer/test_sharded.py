@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -134,6 +135,49 @@ class TestDecomposition:
         assert pool.unpinned_capacity == 11
 
 
+class TestRequestBatch:
+    """``request_batch`` == per-page ``request()`` on a twin pool."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_matches_per_page_requests(self, shards, policy):
+        pinned = (0, 7, 13, 201)
+        batched = ShardedBufferPool(
+            48, shards, policy=policy, pinned=pinned, rng=5
+        )
+        twin = ShardedBufferPool(
+            48, shards, policy=policy, pinned=pinned, rng=5
+        )
+        pages = np.random.default_rng(11).integers(0, 400, 4000)
+        # Chunked: the pools must agree at every batch boundary, not
+        # only at the end of the stream.
+        for lo in range(0, len(pages), 700):
+            chunk = pages[lo : lo + 700]
+            hits = sum(twin.request(int(p)) for p in chunk)
+            assert batched.request_batch(chunk) == hits
+            assert [s.as_dict() for s in batched.shard_stats()] == [
+                s.as_dict() for s in twin.shard_stats()
+            ]
+        assert len(batched) == len(twin)
+        for page in range(400):
+            assert (page in batched) == (page in twin)
+
+    def test_accepts_lists_and_empty_batches(self):
+        pool = ShardedBufferPool(8, 2)
+        assert pool.request_batch([]) == 0
+        assert pool.request_batch([3, 4, 3]) == 1
+        assert pool.aggregate_stats().requests == 3
+
+    @pytest.mark.parametrize("page", [-1, 2**61 - 1])
+    def test_ids_outside_the_hash_identity_are_refused(self, page):
+        # hash(-1) == -2 and hash(2**61 - 1) == 0, so ``pages % K``
+        # would send these ids to a different shard than request().
+        pool = ShardedBufferPool(8, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            pool.request_batch(np.array([1, page], dtype=np.int64))
+        assert pool.aggregate_stats().requests == 0
+
+
 class TestConcurrency:
     def test_concurrent_totals_reconcile(self):
         pool = ShardedBufferPool(64, 8)
@@ -159,6 +203,43 @@ class TestConcurrency:
         assert not errors
         agg = pool.aggregate_stats()
         assert agg.requests == n_threads * n_requests
+        assert agg.hits + agg.misses == agg.requests
+        per = pool.shard_stats()
+        assert agg.requests == sum(s.requests for s in per)
+        assert agg.evictions == sum(s.evictions for s in per)
+
+    def test_concurrent_batches_reconcile(self):
+        pool = ShardedBufferPool(64, 8)
+        n_threads, n_requests, step = 4, 5000, 500
+        errors: list[Exception] = []
+        hits = [0] * n_threads
+
+        def worker(i: int) -> None:
+            pages = np.random.default_rng(i).integers(0, 1000, n_requests)
+            try:
+                for lo in range(0, n_requests, step):
+                    hits[i] += pool.request_batch(pages[lo : lo + step])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-batch often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        agg = pool.aggregate_stats()
+        assert agg.requests == n_threads * n_requests
+        assert agg.hits == sum(hits)
         assert agg.hits + agg.misses == agg.requests
         per = pool.shard_stats()
         assert agg.requests == sum(s.requests for s in per)

@@ -11,7 +11,6 @@ from repro.experiments.common import (
     serve_shards,
     sim_batches,
     sim_queries_per_batch,
-    sim_workers,
 )
 
 
@@ -81,18 +80,14 @@ class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCHES", raising=False)
         monkeypatch.delenv("REPRO_SIM_QUERIES", raising=False)
-        monkeypatch.delenv("REPRO_SIM_WORKERS", raising=False)
         assert sim_batches() == 20
         assert sim_queries_per_batch() == 20000
-        assert sim_workers() == 0
 
     def test_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCHES", "5")
         monkeypatch.setenv("REPRO_SIM_QUERIES", "123")
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "4")
         assert sim_batches() == 5
         assert sim_queries_per_batch() == 123
-        assert sim_workers() == 4
 
     def test_probe_budget_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_BATCHES", raising=False)
@@ -121,17 +116,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "0")
         with pytest.raises(ValueError, match="SHARDS"):
             serve_shards()
-
-    def test_serve_workers(self, monkeypatch):
-        from repro.experiments.common import serve_workers
-
-        monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-        assert serve_workers() == 0  # default: in-process pool
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
-        assert serve_workers() == 4
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "-1")
-        with pytest.raises(ValueError, match="WORKERS"):
-            serve_workers()
 
     def test_serve_slo_windows(self, monkeypatch):
         from repro.experiments.common import serve_slo

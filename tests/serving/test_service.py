@@ -209,6 +209,16 @@ class TestAsyncAdmission:
         service.stop()
         assert service.queries_served == 100
 
+    def test_close_joins_dispatchers_and_is_idempotent(self, desc):
+        service = QueryService(desc, UniformPointWorkload(), 10)
+        service.start(workers=2)
+        threads = list(service._threads)
+        service.close()
+        assert not service.running
+        assert not any(t.is_alive() for t in threads)
+        service.close()  # idempotent
+        QueryService(desc, UniformPointWorkload(), 10).close()  # unstarted
+
     def test_reset_measurement_keeps_contents(self, desc):
         workload = UniformPointWorkload()
         points = workload.sample_points(500, np.random.default_rng(6))
