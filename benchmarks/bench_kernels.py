@@ -6,8 +6,8 @@ oracles on the two compute-dominant paths of the reproduction:
 * ``data_driven_access_probabilities`` — Eq. 4 probabilities (sorted
   range-count kernel vs the dense containment matrix);
 * ``point_stab`` — CSR point-stabbing (grid index vs dense matrix);
-* ``simulator_query_throughput`` — the §4 simulator's per-query loop
-  (stab + LRU buffer requests) end to end;
+* ``simulator_query_throughput`` — the §4 simulator's chunk loop
+  (stab + one LRU ``request_batch`` per chunk) end to end;
 * ``stack_distance_sweep`` — one offline Mattson pass over all buffer
   sizes (:func:`repro.simulation.simulate_sweep`) vs per-capacity
   online simulation, asserted bit-exact;
@@ -42,8 +42,11 @@ oracles on the two compute-dominant paths of the reproduction:
 The report is a machine-readable JSON file (schema ``repro-bench/1``,
 see :data:`RECORD_FIELDS` and ``docs/PERFORMANCE.md``) written to the
 repo root so successive PRs accumulate a performance trajectory to
-regress against.  CI runs the ``--smoke`` sizes and validates the
-emitted file with ``--validate``.
+regress against.  Each kernel draws its inputs from its own generator,
+seeded from ``(seed, kernel name)`` (:func:`kernel_rng`), so one
+kernel's data never depends on which kernels run before it.  CI runs
+the ``--smoke`` sizes and validates the emitted file with
+``--validate``.
 
 Usage::
 
@@ -61,6 +64,7 @@ import os
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -176,16 +180,13 @@ def _bench_point_stab(rng: np.random.Generator, n_rects: int, n_points: int) -> 
 
 
 def _run_sim_loop(stabber, points: np.ndarray, buffer_size: int) -> int:
-    """The simulator's measurement loop: stab, then request top-down."""
+    """The simulator's measurement loop: stab a chunk, then request its
+    pages top-down in one ``request_batch`` call."""
     buffer = LRUBuffer(buffer_size, ())
     misses = 0
     for start in range(0, points.shape[0], _QUERY_CHUNK):
-        sparse = stabber.stab(points[start : start + _QUERY_CHUNK])
-        request = buffer.request
-        for ids in sparse.iter_rows():
-            for node_id in ids:
-                if not request(int(node_id)):
-                    misses += 1
+        ids = stabber.stab(points[start : start + _QUERY_CHUNK]).ids.tolist()
+        misses += len(ids) - buffer.request_batch(ids)
     return misses
 
 
@@ -575,20 +576,37 @@ _SMOKE_SIZES = {
 }
 
 
+_KERNELS = (
+    ("data_driven_access_probabilities", "data_driven", _bench_data_driven),
+    ("point_stab", "point_stab", _bench_point_stab),
+    ("simulator_query_throughput", "sim_throughput", _bench_sim_throughput),
+    ("stack_distance_sweep", "stack_sweep", _bench_stack_distance_sweep),
+    (
+        "probe_simulation_throughput",
+        "probe_throughput",
+        _bench_probe_throughput,
+    ),
+    ("serving_throughput", "serving_throughput", _bench_serving_throughput),
+    ("serving_latency_p99", "serving_latency", _bench_serving_latency),
+    ("telemetry_overhead", "telemetry_overhead", _bench_telemetry_overhead),
+    ("tat_build", "tat_build", _bench_tat_build),
+)
+"""``(kernel name, size key, benchmark)`` in report order."""
+
+
+def kernel_rng(seed: int, kernel: str) -> np.random.Generator:
+    """The generator for one kernel's inputs, seeded from
+    ``(seed, kernel name)`` — so adding, removing or reordering a
+    kernel never changes another kernel's data."""
+    return np.random.default_rng([seed, zlib.crc32(kernel.encode())])
+
+
 def build_report(seed: int = 0, smoke: bool = False) -> dict:
     """Run every kernel benchmark and assemble the report dict."""
     sizes = _SMOKE_SIZES if smoke else _FULL_SIZES
-    rng = np.random.default_rng(seed)
     records = [
-        _bench_data_driven(rng, *sizes["data_driven"]),
-        _bench_point_stab(rng, *sizes["point_stab"]),
-        _bench_sim_throughput(rng, *sizes["sim_throughput"]),
-        _bench_stack_distance_sweep(rng, *sizes["stack_sweep"]),
-        _bench_probe_throughput(rng, *sizes["probe_throughput"]),
-        _bench_serving_throughput(rng, *sizes["serving_throughput"]),
-        _bench_serving_latency(rng, *sizes["serving_latency"]),
-        _bench_telemetry_overhead(rng, *sizes["telemetry_overhead"]),
-        _bench_tat_build(rng, *sizes["tat_build"]),
+        bench(kernel_rng(seed, kernel), *sizes[key])
+        for kernel, key, bench in _KERNELS
     ]
     return {
         "schema": SCHEMA,

@@ -13,10 +13,11 @@ shifting a figure by a fraction nobody can bisect.
 Mechanics:
 
 * **Thread affinity** (pool + stats): each instance is stamped with
-  its creating thread; any attribute write (stats) or ``request()``
-  (pool) from a different thread raises.  Objects are not locked to
-  a thread forever — :func:`adopt` transfers ownership explicitly,
-  which is itself a synchronization statement in the code.
+  its creating thread; any attribute write (stats) or ``request()`` /
+  ``request_batch()`` (pool) from a different thread raises.  Objects
+  are not locked to a thread forever — :func:`adopt` transfers
+  ownership explicitly, which is itself a synchronization statement
+  in the code.
 * **Lock discipline** (tracer, telemetry sink): spans legitimately
   finish on many threads, so affinity is the wrong check.  Instead
   the tracer's shared containers (``_finished``, ``_threads``) are
@@ -35,7 +36,8 @@ Mechanics:
   ``ShardedBufferPool.__init__`` is patched to register each shard's
   pool and stats with the shard's lock, so reaching around the
   sharded pool into ``_pools[s]`` without holding ``_locks[s]``
-  raises at the exact ``request()``/counter write.
+  raises at the exact ``request()``/``request_batch()``/counter
+  write.
 * Ownership lives in a module-level table keyed by ``id(obj)``
   (``BufferStats`` has ``__slots__`` and accepts no new attributes).
   The patched ``__init__`` re-stamps on construction, so id reuse
@@ -240,19 +242,38 @@ def _patch_stats(cls: type) -> None:
     cls.__setattr__ = __setattr__  # type: ignore[assignment]
 
 
+def _subclasses(cls: type) -> list[type]:
+    """``cls`` and every subclass currently defined, depth first."""
+    found = [cls]
+    for sub in cls.__subclasses__():
+        found.extend(_subclasses(sub))
+    return found
+
+
 def _patch_pool(cls: type) -> None:
-    """``request()`` — the pool's mutating entry point — checks
-    affinity once per call (policy structures mutate inside it)."""
+    """``request()`` and ``request_batch()`` — the pool's mutating
+    entry points — check affinity once per call (policy structures
+    mutate inside them).  A subclass that defines its own
+    ``request_batch`` (LRU's folded loop) is wrapped too."""
     _wrap_init(cls)
-    original: Callable = cls.request
-    _save(cls, "request")
+    _wrap_entry(cls, "request")
+    for sub in _subclasses(cls):
+        if "request_batch" in sub.__dict__:
+            _wrap_entry(sub, "request_batch")
 
-    def request(self: object, page: Any) -> bool:
-        _check_owner(self, "request()")
-        return original(self, page)
 
-    request.__wrapped__ = original  # type: ignore[attr-defined]
-    cls.request = request  # type: ignore[assignment]
+def _wrap_entry(cls: type, name: str) -> None:
+    """Check ownership before every call of ``cls.<name>``."""
+    original: Callable = cls.__dict__[name]
+    _save(cls, name)
+
+    def entry(self: object, *args: Any) -> Any:
+        _check_owner(self, f"{name}()")
+        return original(self, *args)
+
+    entry.__name__ = name
+    entry.__wrapped__ = original  # type: ignore[attr-defined]
+    setattr(cls, name, entry)
 
 
 def _patch_tracer(cls: type) -> None:
@@ -322,8 +343,7 @@ def install() -> None:
     global _installed
     if _installed:
         return
-    from repro.buffer.base import BufferPool, BufferStats
-    from repro.buffer.sharded import ShardedBufferPool
+    from repro.buffer import BufferPool, BufferStats, ShardedBufferPool
     from repro.obs.spans import Tracer
     from repro.obs.telemetry import TelemetrySink
 

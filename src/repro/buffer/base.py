@@ -74,6 +74,10 @@ class BufferStats:
 class BufferPool(ABC):
     """Base class implementing pinning and accounting.
 
+    :meth:`request` accesses one page; :meth:`request_batch` is the
+    batch entry point every replay loop feeds a whole stream through
+    (:class:`~repro.buffer.lru.LRUBuffer` folds it into one loop).
+
     Subclasses provide the replacement policy through three hooks:
     :meth:`_touch` (called on a hit), :meth:`_admit` (called to make a
     missed page resident), and :meth:`_evict` (called to choose and
@@ -142,6 +146,15 @@ class BufferPool(ABC):
         if sink is not None:
             sink.record_miss(page, evicted)
         return False
+
+    def request_batch(self, pages: Iterable[PageId]) -> int:
+        """Access every page in ``pages`` in order; returns the hit count.
+
+        Exactly one :meth:`request` per page — the same state,
+        counters and sink events.  Policies may override it with a
+        faster loop that keeps those semantics.
+        """
+        return sum(map(self.request, pages))
 
     def is_full(self) -> bool:
         """True once the unpinned area holds its full complement of pages."""

@@ -169,10 +169,11 @@ class ShardedBufferPool:
         Same counters and final state as ``sum(self.request(int(p))
         for p in pages)``: the batch is partitioned once as
         ``pages % K`` (the module's partition rule), and each shard
-        replays its subsequence in stream order under one acquisition
-        of its lock — all any per-shard policy pool's state depends
-        on.  K=1 skips the partition.  With K > 1 the ids must be
-        integers in ``[0, sys.hash_info.modulus)``; raises
+        replays its subsequence in stream order through its pool's
+        :meth:`~repro.buffer.base.BufferPool.request_batch` under one
+        acquisition of its lock — all any per-shard policy pool's
+        state depends on.  K=1 skips the partition.  With K > 1 the
+        ids must be integers in ``[0, sys.hash_info.modulus)``; raises
         :class:`ValueError` otherwise.
         """
         pages = np.asarray(pages, dtype=np.int64)
@@ -192,7 +193,7 @@ class ShardedBufferPool:
         for lock, pool, part in zip(self._locks, self._pools, parts):
             if part.size:
                 with lock:
-                    hits += sum(map(pool.request, part.tolist()))
+                    hits += pool.request_batch(part.tolist())
         return hits
 
     # ------------------------------------------------------------------

@@ -351,8 +351,13 @@ def _run_queries(
     ``stabber`` answers point-stabbing queries in CSR form (one per
     component for mixtures); node ids arrive ascending (level-major),
     i.e. top-down, matching a recursive traversal's request order.
-    When ``trace`` is given, each query's touched ids and miss set are
-    recorded in the ring buffer (slower: only used when tracing).
+    The chunk is stabbed once and its flat id stream — query order,
+    ascending within each query, the order a per-row loop would
+    request — goes to the pool in one
+    :meth:`~repro.buffer.base.BufferPool.request_batch` call.  When
+    ``trace`` is given, pages are requested one at a time instead, so
+    each query's touched ids and miss set can be recorded in the ring
+    buffer (slower: only used when tracing).
 
     Spans are emitted per *chunk* (this function runs once per
     ``_CHUNK`` queries), never per query or per request, so the
@@ -362,22 +367,23 @@ def _run_queries(
     if isinstance(workload, MixedWorkload):
         with span("simulate.stab", queries=count, mixed=True):
             rows = _mixed_rows(stabber, workload, rng, count)
+            ids = np.concatenate(rows)
     else:
         with span("simulate.sample", queries=count):
             points = workload.sample_points(count, rng)
         with span("simulate.stab", queries=count):
-            rows = stabber.stab(points).iter_rows()
+            sparse = stabber.stab(points)
+            rows = sparse.iter_rows()
+            ids = sparse.ids
     with span("simulate.buffer_loop", queries=count):
-        request = buffer.request
-        if trace is not None:
-            for ids in rows:
-                touched = [int(i) for i in ids]
-                missed = [i for i in touched if not request(i)]
-                trace.record(touched, missed)
+        if trace is None:
+            buffer.request_batch(ids.tolist())
             return
-        for ids in rows:
-            for node_id in ids:
-                request(int(node_id))
+        request = buffer.request
+        for row in rows:
+            touched = row.tolist()
+            missed = [i for i in touched if not request(i)]
+            trace.record(touched, missed)
 
 
 def _mixed_rows(

@@ -814,9 +814,12 @@ def _replay_capacity(
     replacement structures (``BufferPool.request`` short-circuits
     them), so feeding only the unpinned subsequence through an
     unpinned pool of the reduced capacity walks the identical state
-    sequence.  Per-batch requests come from ``q_indptr`` (they include
-    pinned accesses); hits are requests minus misses, exactly the
-    online accounting.
+    sequence.  The warm-up prefix and then each measurement batch go
+    through one :meth:`~repro.buffer.base.BufferPool.request_batch`
+    call apiece, the pool's own batch loop over the same page order.
+    Per-batch requests come from ``q_indptr`` (they include pinned
+    accesses); hits are requests minus misses, exactly the online
+    accounting.
     """
     batch_queries, access_bounds = _capacity_bounds(
         stream, warmed, n_batches, batch_size
@@ -831,17 +834,15 @@ def _replay_capacity(
         filled = True
     else:
         buffer = POLICIES[policy](capacity)
-        request = buffer.request
-        for page in pages[:lo]:
-            request(int(page))
+        buffer.request_batch(pages[:lo].tolist())
         filled = buffer.is_full()
         stats = buffer.stats
         stats.reset()
         miss_b = np.zeros(n_batches, dtype=np.int64)
         evict_b = np.zeros(n_batches, dtype=np.int64)
         for index in range(n_batches):
-            for page in pages[access_bounds[index] : access_bounds[index + 1]]:
-                request(int(page))
+            batch = pages[access_bounds[index] : access_bounds[index + 1]]
+            buffer.request_batch(batch.tolist())
             miss_b[index] = stats.misses
             evict_b[index] = stats.evictions
             stats.reset()

@@ -145,6 +145,31 @@ class TestBuildReport:
         }
         assert bench.validate_report(report) == []
 
+    def test_kernel_inputs_do_not_depend_on_earlier_kernels(
+        self, monkeypatch
+    ):
+        # Each kernel gets its own generator seeded from (seed, name):
+        # dropping or reordering the kernels before it must not move
+        # its first draws.
+        def stub(kernel):
+            def run(rng, *sizes):
+                return {"kernel": kernel, "draws": rng.random(4).tolist()}
+
+            return run
+
+        names = [kernel for kernel, _, _ in bench._KERNELS]
+        table = tuple((k, key, stub(k)) for k, key, _ in bench._KERNELS)
+
+        def draws(kernels):
+            monkeypatch.setattr(bench, "_KERNELS", kernels)
+            report = bench.build_report(seed=7, smoke=True)
+            return {r["kernel"]: r["draws"] for r in report["records"]}
+
+        full = draws(table)
+        assert draws(table[-1:])[names[-1]] == full[names[-1]]
+        assert draws(table[::-1]) == full
+        assert len({tuple(d) for d in full.values()}) == len(names)
+
     def test_main_validate_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(valid_report()))

@@ -104,6 +104,14 @@ class TestSeededRace:
         assert isinstance(error, SanitizerError)
         assert "request" in str(error)
 
+    def test_pool_request_batch_checks_affinity(self, sanitizer):
+        pool = LRUBuffer(capacity=4)
+        assert pool.request_batch([1, 2, 1]) == 1
+        error = _mutate_in_thread(lambda: pool.request_batch([3]))
+        assert isinstance(error, SanitizerError)
+        assert "request_batch" in str(error)
+        assert pool.stats.requests == 3
+
     def test_error_names_both_threads(self, sanitizer):
         stats = BufferStats()
         owner = threading.get_ident()
@@ -207,6 +215,19 @@ class TestShardLockGuards:
         pool = ShardedBufferPool(16, 2)
         with pytest.raises(SanitizerError, match="guard"):
             pool._pools[1].stats.hits += 1
+
+    def test_unguarded_shard_request_batch_raises(self, sanitizer):
+        from repro.buffer import ShardedBufferPool
+
+        pool = ShardedBufferPool(16, 2)
+        # LRU's folded batch loop mutates the stack without going
+        # through request(), so the batch entry point is checked too.
+        with pytest.raises(SanitizerError, match="request_batch"):
+            pool._pools[0].request_batch([2, 4, 2])
+        assert pool.aggregate_stats().requests == 0
+        with pool._locks[0]:
+            assert pool._pools[0].request_batch([2, 4, 2]) == 1
+        assert pool.aggregate_stats().requests == 3
 
     def test_holding_the_shard_lock_makes_it_legal(self, sanitizer):
         from repro.buffer import ShardedBufferPool
@@ -364,6 +385,16 @@ class TestInstallLifecycle:
         stats = BufferStats()
         assert _mutate_in_thread(lambda: setattr(stats, "hits", 5)) is None
         assert stats.hits == 5
+
+    @needs_plain_world
+    def test_uninstall_restores_the_batch_entry_points(self):
+        from repro.buffer.base import BufferPool
+
+        plain = (BufferPool.request_batch, LRUBuffer.request_batch)
+        sanitize.install()
+        assert LRUBuffer.request_batch is not plain[1]
+        sanitize.uninstall()
+        assert (BufferPool.request_batch, LRUBuffer.request_batch) == plain
 
     @needs_plain_world
     def test_uninstall_without_install_is_a_noop(self):

@@ -158,6 +158,10 @@ class TestRequestBatch:
             assert [s.as_dict() for s in batched.shard_stats()] == [
                 s.as_dict() for s in twin.shard_stats()
             ]
+            if policy == "lru":
+                assert [p.lru_order() for p in batched._pools] == [
+                    p.lru_order() for p in twin._pools
+                ]
         assert len(batched) == len(twin)
         for page in range(400):
             assert (page in batched) == (page in twin)
